@@ -135,7 +135,7 @@ func run(args []string) error {
 		mode, *minerStr, contract.Hex(), n.BootSource(), n.Chain().Height())
 
 	rpcSrv := rpc.NewServer(n, contract, rpc.WithMaxInFlight(*maxInFlight))
-	server := &http.Server{Addr: *listen, Handler: rpcSrv}
+	server := newHTTPServer(*listen, rpcSrv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -197,6 +197,21 @@ func run(args []string) error {
 		head := n.Chain().Head()
 		fmt.Printf("shut down cleanly: head=%d hash=%s\n", head.Number(), head.Hash().Hex()[:18])
 		return nil
+	}
+}
+
+// newHTTPServer returns the RPC tier's HTTP server with every timeout
+// set, so slow or hostile clients cannot pin connections open: a client
+// that stalls mid-header (slowloris) is cut off after 5 s, and a slow
+// body, a slow reader and an idle keep-alive connection are bounded too.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       120 * time.Second,
 	}
 }
 

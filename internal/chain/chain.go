@@ -463,10 +463,11 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	orphaned := len(c.blocks) - int(attach-c.base)
 	c.blocks = c.blocks[:attach-c.base]
 	for j, b := range fork {
+		hash := b.Hash()
 		c.blocks = append(c.blocks, b)
-		c.byHash[b.Hash()] = b
-		c.receipts[b.Hash()] = results[j].receipts
-		c.posts[b.Hash()] = results[j].post
+		c.byHash[hash] = b
+		c.receipts[hash] = results[j].receipts
+		c.posts[hash] = results[j].post
 	}
 	c.state = results[len(results)-1].post
 	c.orphaned += uint64(orphaned)
@@ -508,10 +509,11 @@ func (c *Chain) adopt(block *types.Block, receipts []*types.Receipt, post *state
 			return fmt.Errorf("chain: persist block %d: %w", block.Number(), err)
 		}
 	}
+	hash := block.Hash()
 	c.blocks = append(c.blocks, block)
-	c.byHash[block.Hash()] = block
-	c.receipts[block.Hash()] = receipts
-	c.posts[block.Hash()] = post
+	c.byHash[hash] = block
+	c.receipts[hash] = receipts
+	c.posts[hash] = post
 	c.state = post
 	return nil
 }

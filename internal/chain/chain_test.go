@@ -409,12 +409,24 @@ func TestSealRestoresNonceOnFailure(t *testing.T) {
 
 func TestSealRoundTrip(t *testing.T) {
 	h := &types.Header{Number: 1, ParentHash: types.Hash{1}}
+	// Seal a header whose block hash is already memoized: the search
+	// must find what it finds on an untouched copy, and the block hash
+	// must follow the nonce the search wrote in place.
+	fresh := *h
+	block := &types.Block{Header: h}
+	block.Hash()
 	const difficulty = 16
-	if !Seal(h, difficulty, 1<<20) {
+	if !Seal(h, difficulty, 1<<20) || !Seal(&fresh, difficulty, 1<<20) {
 		t.Fatal("seal search failed")
 	}
 	if !SealValid(h, difficulty) {
 		t.Error("found seal does not validate")
+	}
+	if h.PowNonce != fresh.PowNonce {
+		t.Errorf("memoized block sealed to nonce %d, fresh header to %d", h.PowNonce, fresh.PowNonce)
+	}
+	if block.Hash() != fresh.Hash() {
+		t.Error("block hash did not follow the sealed nonce")
 	}
 	// Difficulty <= 1 always valid.
 	if !SealValid(&types.Header{}, 0) || !SealValid(&types.Header{}, 1) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"sereth/internal/keccak"
 	"sereth/internal/statedb"
 	"sereth/internal/types"
 	"sereth/internal/wallet"
@@ -261,5 +262,43 @@ func TestExecCacheBounded(t *testing.T) {
 	cache.Put(keys[1], first)
 	if entry, _ := cache.Get(keys[1]); entry.GasUsed == 7 {
 		t.Error("duplicate Put replaced the original entry")
+	}
+}
+
+// TestNthImportZeroKeccak pins the block-hash memo end to end: once a
+// block has been replayed into a shared ExecCache and its hash memoized
+// on the shared instance, importing that same *Block into another fresh
+// peer costs ZERO keccak invocations — parent check, cache key, TxRoot
+// authentication and adoption all read memoized hashes.
+func TestNthImportZeroKeccak(t *testing.T) {
+	alice := wallet.NewKey("alice")
+	reg, _, mk := cachedChainSetup(t)
+	reg.Register(alice)
+
+	producer := mk()
+	block := buildBlock(t, producer, []*types.Transaction{setTxFor(alice, 0, types.ZeroWord, 5, types.FlagHead)})
+	before := keccak.Invocations()
+	if _, err := producer.InsertBlock(block); err != nil {
+		t.Fatal(err)
+	}
+	if n := keccak.Invocations() - before; n == 0 {
+		t.Fatal("first import should have replayed the body (≥1 keccak)")
+	}
+	if _, err := mk().InsertBlock(block); err != nil {
+		t.Fatalf("second import: %v", err)
+	}
+
+	for i := 3; i <= 8; i++ {
+		peer := mk() // genesis hashing happens here, outside the window
+		before = keccak.Invocations()
+		if _, err := peer.InsertBlock(block); err != nil {
+			t.Fatalf("import %d: %v", i, err)
+		}
+		if n := keccak.Invocations() - before; n != 0 {
+			t.Fatalf("import %d of a cached block: %d keccak invocations, want 0", i, n)
+		}
+		if peer.Head() != block {
+			t.Fatalf("import %d did not adopt the shared instance", i)
+		}
 	}
 }

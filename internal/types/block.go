@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"sereth/internal/keccak"
 	"sereth/internal/rlp"
@@ -107,10 +108,35 @@ type Block struct {
 	// a memoized root can never vouch for a list it was not derived from.
 	txRootOnce sync.Once
 	txRoot     Hash
+
+	// hash memoizes Header.Hash() per block instance, so the one shared
+	// *Block every peer imports costs one header digest per process. The
+	// header stays mutable (tests and the forger tamper with it in place
+	// after hashing), so the memo keeps the header it was derived from
+	// and is served only while the live header still equals it.
+	hash atomic.Pointer[headerHash]
 }
 
-// Hash returns the block hash.
-func (b *Block) Hash() Hash { return b.Header.Hash() }
+// headerHash is an immutable snapshot of a header and its hash.
+type headerHash struct {
+	header Header
+	hash   Hash
+}
+
+// Hash returns the block hash, Keccak-256 of the RLP header. The result
+// is memoized on the instance and re-derived whenever the header no
+// longer equals the one the memo was computed from, so a mutated or
+// swapped header is never served a stale hash. Safe for concurrent use
+// while the header is not being written.
+func (b *Block) Hash() Hash {
+	if m := b.hash.Load(); m != nil && m.header == *b.Header {
+		return m.hash
+	}
+	m := &headerHash{header: *b.Header}
+	m.hash = m.header.Hash()
+	b.hash.Store(m)
+	return m.hash
+}
 
 // TxRoot returns DeriveTxRoot(b.Txs), computed once per block instance
 // and shared by every subsequent caller (importing peers, cache-hit

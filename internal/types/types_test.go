@@ -225,6 +225,10 @@ func TestBlockRoundTrip(t *testing.T) {
 func TestSealHashIgnoresNonce(t *testing.T) {
 	b := sampleBlock()
 	h1 := b.Header.SealHash()
+	b.Hash() // a memoized block hash must not disturb SealHash
+	if b.Header.SealHash() != h1 {
+		t.Error("block hash memo changed SealHash")
+	}
 	cp := *b.Header
 	cp.PowNonce = 999
 	if cp.SealHash() != h1 {
