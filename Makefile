@@ -58,22 +58,26 @@ crash-smoke:
 # the keccak invocation-counter contract, the hinted/memoized jump
 # table differentials and fuzz seed corpus against the raw CallGeneric
 # reference, the zero-keccak frozen-instance admission and batch-id
-# assertions, the block-hash memo's stale-header checks and zero-keccak
-# Nth import, and the golden counter-pinned replay drop with
-# bit-identical receipts (sequential and parallel lanes).
+# assertions, the one-allocation pool admission pin, the block-hash
+# memo's stale-header checks and zero-keccak Nth import, and the golden
+# counter-pinned replay drop with bit-identical receipts (sequential and
+# parallel lanes).
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
 	$(GO) test -race -run 'TestSha3|TestJumpTableMatchesGeneric|FuzzInterpreter' ./internal/evm
-	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestVerifiedFlagDoesNotSurviveTamper' ./internal/txpool
+	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestAdmitAllocsOnePendingPerSender|TestVerifiedFlagDoesNotSurviveTamper' ./internal/txpool
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
 	$(GO) test -race -run 'TestBlockHash' ./internal/types
 	$(GO) test -race -run 'TestNthImportZeroKeccak' ./internal/chain
 	$(GO) test -race -run 'TestReplayKeccakCountDrop|TestParallelReplayElidesIdentically' ./internal/scenarios
 
 # fuzz-smoke fuzzes the block decoder (gossip, sync and the on-disk
-# log all go through it) for 10 s, starting from its committed corpus.
+# log all go through it) and then the transaction decoder (the
+# eth_sendRawTransaction path) for 10 s each, starting from their
+# committed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s ./internal/types
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTransaction$$' -fuzztime 10s ./internal/types
 
 # serving-smoke runs the persistence and serving-tier suite under the
 # race detector: the store, trie/state persistence and snapshot

@@ -9,7 +9,6 @@ package txpool
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"sereth/internal/types"
@@ -72,19 +71,31 @@ type Change struct {
 	Gen uint64
 }
 
+// entry is one admission of a transaction. Removal marks it dead
+// instead of splicing it out of the arrival log; a transaction removed
+// and re-admitted gets a fresh entry at the tail, so the dead one can
+// never resurface at its old position.
+type entry struct {
+	tx   *types.Transaction
+	dead bool
+}
+
+// slot is the (sender, nonce) pair at most one pending transaction holds.
+type slot struct {
+	from  types.Address
+	nonce uint64
+}
+
 // Pool is a concurrency-safe pending transaction pool.
 type Pool struct {
-	mu      sync.RWMutex
-	all     map[types.Hash]*types.Transaction
-	arrival []types.Hash // real-time order of admission
-	// arrivalIdx maps each live hash to its canonical arrival position: a
-	// transaction removed and re-admitted leaves a stale duplicate in
-	// arrival, and only the entry matching arrivalIdx counts. Without it
-	// Pending/Snapshot would emit the transaction at both positions.
-	arrivalIdx map[types.Hash]int
-	bySender   map[types.Address]map[uint64]types.Hash
-	validate   Validator
-	capacity   int
+	mu  sync.RWMutex
+	all map[types.Hash]*entry
+	// arrival is the real-time order of admission. Dead entries are
+	// skipped and dropped by compactLocked once they dominate the slice.
+	arrival  []*entry
+	slots    map[slot]*entry
+	validate Validator
+	capacity int
 	// evictLowest selects the overflow policy: evict the oldest
 	// lowest-priced resident instead of rejecting the newcomer.
 	evictLowest bool
@@ -105,10 +116,9 @@ type Pool struct {
 // New returns an empty pool.
 func New(opts ...Option) *Pool {
 	p := &Pool{
-		all:        make(map[types.Hash]*types.Transaction),
-		arrivalIdx: make(map[types.Hash]int),
-		bySender:   make(map[types.Address]map[uint64]types.Hash),
-		capacity:   65536,
+		all:      make(map[types.Hash]*entry),
+		slots:    make(map[slot]*entry),
+		capacity: 65536,
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -171,9 +181,9 @@ func (p *Pool) snapshotLocked() []*types.Transaction {
 		return p.snap
 	}
 	out := make([]*types.Transaction, 0, len(p.all))
-	for i, h := range p.arrival {
-		if tx, ok := p.all[h]; ok && p.arrivalIdx[h] == i {
-			out = append(out, tx)
+	for _, e := range p.arrival {
+		if !e.dead {
+			out = append(out, e.tx)
 		}
 	}
 	p.snap, p.snapGen = out, p.gen
@@ -299,40 +309,28 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
 	if _, known := p.all[hash]; known {
 		return ErrAlreadyKnown
 	}
-	var prevHash types.Hash
-	var replacing bool
-	if nonces, ok := p.bySender[tx.From]; ok {
-		prevHash, replacing = nonces[tx.Nonce]
-	}
-	if replacing {
+	key := slot{tx.From, tx.Nonce}
+	if prev, replacing := p.slots[key]; replacing {
 		// A price bump swaps a resident tx, so it is admissible even at
 		// capacity.
-		prev := p.all[prevHash]
-		if tx.GasPrice <= prev.GasPrice {
+		if tx.GasPrice <= prev.tx.GasPrice {
 			return ErrUnderpriced
 		}
-		p.removeLocked(prevHash)
+		p.removeLocked(prev)
 	} else if len(p.all) >= p.capacity {
 		if !p.evictLowest || !p.evictLowestLocked(tx.GasPrice) {
 			return ErrPoolFull
 		}
 	}
-	// Look the nonce map up after the removal above: evicting the
-	// sender's only pending tx drops their map, and writing into the
-	// stale one would orphan the sender from the index.
-	nonces, ok := p.bySender[tx.From]
-	if !ok {
-		nonces = make(map[uint64]types.Hash)
-		p.bySender[tx.From] = nonces
-	}
 	// Admitted: freeze the instance so every later Hash/Selector/FPV/Mark
 	// access (views, mining, gossip) is a cached lookup.
 	tx.MemoizeWithHash(hash)
-	p.all[hash] = tx
-	p.arrivalIdx[hash] = len(p.arrival)
-	p.arrival = append(p.arrival, hash)
-	nonces[tx.Nonce] = hash
+	e := &entry{tx: tx}
+	p.all[hash] = e
+	p.slots[key] = e
+	p.arrival = append(p.arrival, e)
 	p.changedLocked(TxAdded, tx)
+	p.compactLocked()
 	return nil
 }
 
@@ -342,19 +340,14 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
 // whether a slot was freed (false when no resident is priced strictly
 // below the newcomer).
 func (p *Pool) evictLowestLocked(price uint64) bool {
-	var victim types.Hash
-	found := false
+	var victim *entry
 	lowest := price
-	for i, h := range p.arrival {
-		tx, ok := p.all[h]
-		if !ok || p.arrivalIdx[h] != i {
-			continue
-		}
-		if tx.GasPrice < lowest {
-			lowest, victim, found = tx.GasPrice, h, true
+	for _, e := range p.arrival {
+		if !e.dead && e.tx.GasPrice < lowest {
+			lowest, victim = e.tx.GasPrice, e
 		}
 	}
-	if !found {
+	if victim == nil {
 		return false
 	}
 	p.evicted++
@@ -374,8 +367,8 @@ func (p *Pool) Evicted() uint64 {
 func (p *Pool) Get(hash types.Hash) *types.Transaction {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if tx, ok := p.all[hash]; ok {
-		return tx.Copy()
+	if e, ok := p.all[hash]; ok {
+		return e.tx.Copy()
 	}
 	return nil
 }
@@ -400,31 +393,10 @@ func (p *Pool) Pending() []*types.Transaction {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	out := make([]*types.Transaction, 0, len(p.all))
-	for i, h := range p.arrival {
-		if tx, ok := p.all[h]; ok && p.arrivalIdx[h] == i {
-			out = append(out, tx.Copy())
+	for _, e := range p.arrival {
+		if !e.dead {
+			out = append(out, e.tx.Copy())
 		}
-	}
-	return out
-}
-
-// BySender returns each sender's pending transactions sorted by nonce —
-// the view a miner works from (§II-C): it may reorder across senders but
-// must respect nonce order within one.
-func (p *Pool) BySender() map[types.Address][]*types.Transaction {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make(map[types.Address][]*types.Transaction, len(p.bySender))
-	for sender, nonces := range p.bySender {
-		if len(nonces) == 0 {
-			continue
-		}
-		txs := make([]*types.Transaction, 0, len(nonces))
-		for _, h := range nonces {
-			txs = append(txs, p.all[h].Copy())
-		}
-		sort.Slice(txs, func(i, j int) bool { return txs[i].Nonce < txs[j].Nonce })
-		out[sender] = txs
 	}
 	return out
 }
@@ -434,23 +406,25 @@ func (p *Pool) Remove(hashes []types.Hash) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, h := range hashes {
-		p.removeLocked(h)
+		if e, ok := p.all[h]; ok {
+			p.removeLocked(e)
+		}
 	}
+	p.compactLocked()
 }
 
 // RemoveStale drops every transaction whose nonce is below the sender's
-// current account nonce (it can never be included).
+// current account nonce (it can never be included). Watchers see the
+// removals in arrival order.
 func (p *Pool) RemoveStale(nonceOf func(types.Address) uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for sender, nonces := range p.bySender {
-		floor := nonceOf(sender)
-		for nonce, h := range nonces {
-			if nonce < floor {
-				p.removeLocked(h)
-			}
+	for _, e := range p.arrival {
+		if !e.dead && e.tx.Nonce < nonceOf(e.tx.From) {
+			p.removeLocked(e)
 		}
 	}
+	p.compactLocked()
 }
 
 // Clear empties the pool, notifying watchers of every eviction in
@@ -458,46 +432,36 @@ func (p *Pool) RemoveStale(nonceOf func(types.Address) uint64) {
 func (p *Pool) Clear() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	arrival := p.arrival
-	p.arrival = nil // detach before removal so compaction cannot touch it
-	for i, h := range arrival {
-		// Skip stale duplicate positions (removed-and-re-admitted hashes)
-		// so evictions fire in canonical arrival order.
-		if idx, ok := p.arrivalIdx[h]; ok && idx == i {
-			p.removeLocked(h)
+	for _, e := range p.arrival {
+		if !e.dead {
+			p.removeLocked(e)
 		}
 	}
-	p.all = make(map[types.Hash]*types.Transaction)
-	p.arrivalIdx = make(map[types.Hash]int)
-	p.bySender = make(map[types.Address]map[uint64]types.Hash)
+	p.arrival = nil
 }
 
-func (p *Pool) removeLocked(h types.Hash) {
-	tx, ok := p.all[h]
-	if !ok {
+// removeLocked retires a live entry. It leaves arrival untouched, so
+// callers may remove while walking it; each mutator calls compactLocked
+// once it is done.
+func (p *Pool) removeLocked(e *entry) {
+	e.dead = true
+	delete(p.all, e.tx.Hash())
+	delete(p.slots, slot{e.tx.From, e.tx.Nonce})
+	p.changedLocked(TxRemoved, e.tx)
+}
+
+// compactLocked drops dead entries from arrival once the slice has grown
+// far past the live set.
+func (p *Pool) compactLocked() {
+	if len(p.arrival) <= 4*len(p.all)+64 {
 		return
 	}
-	delete(p.all, h)
-	delete(p.arrivalIdx, h)
-	p.changedLocked(TxRemoved, tx)
-	if nonces, ok := p.bySender[tx.From]; ok {
-		if cur, ok := nonces[tx.Nonce]; ok && cur == h {
-			delete(nonces, tx.Nonce)
-		}
-		if len(nonces) == 0 {
-			delete(p.bySender, tx.From)
+	live := p.arrival[:0]
+	for _, e := range p.arrival {
+		if !e.dead {
+			live = append(live, e)
 		}
 	}
-	// arrival is compacted lazily; drop dead and superseded entries when
-	// the slice grows far past the live set.
-	if len(p.arrival) > 4*len(p.all)+64 {
-		live := p.arrival[:0]
-		for i, ah := range p.arrival {
-			if _, ok := p.all[ah]; ok && p.arrivalIdx[ah] == i {
-				p.arrivalIdx[ah] = len(live)
-				live = append(live, ah)
-			}
-		}
-		p.arrival = live
-	}
+	clear(p.arrival[len(live):]) // release the dead transactions
+	p.arrival = live
 }

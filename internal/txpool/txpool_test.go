@@ -3,6 +3,8 @@ package txpool
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -24,6 +26,20 @@ func tx(sender byte, nonce uint64, price uint64) *types.Transaction {
 		GasLimit: 100000,
 		Data:     []byte{sender, byte(nonce), byte(price)},
 	}
+}
+
+// bySender groups the pending transactions by sender, each sorted by
+// nonce — the view a miner works from (§II-C): it may reorder across
+// senders but must respect nonce order within one.
+func bySender(p *Pool) map[types.Address][]*types.Transaction {
+	out := make(map[types.Address][]*types.Transaction)
+	for _, x := range p.Pending() {
+		out[x.From] = append(out[x.From], x)
+	}
+	for _, txs := range out {
+		sort.Slice(txs, func(i, j int) bool { return txs[i].Nonce < txs[j].Nonce })
+	}
+	return out
 }
 
 func TestAddAndGet(t *testing.T) {
@@ -112,7 +128,7 @@ func TestBySenderNonceSorted(t *testing.T) {
 	if err := p.Add(tx(2, 0, 10)); err != nil {
 		t.Fatal(err)
 	}
-	grouped := p.BySender()
+	grouped := bySender(p)
 	if len(grouped) != 2 {
 		t.Fatalf("senders = %d", len(grouped))
 	}
@@ -143,6 +159,40 @@ func TestRemoveAndStale(t *testing.T) {
 	p.RemoveStale(func(a types.Address) uint64 { return 2 })
 	if p.Has(t0.Hash()) || !p.Has(t2.Hash()) {
 		t.Error("RemoveStale wrong")
+	}
+}
+
+// TestRemoveStaleFeedDeterministic pins Watch's exact-mutation-order
+// promise for RemoveStale: stale transactions leave in arrival order,
+// identically on every run.
+func TestRemoveStaleFeedDeterministic(t *testing.T) {
+	run := func() []types.Hash {
+		p := New()
+		for s := byte(1); s <= 20; s++ {
+			if err := p.Add(tx(s, 0, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var removed []types.Hash
+		p.Watch(func(c Change) {
+			if c.Kind == TxRemoved {
+				removed = append(removed, c.Tx.Hash())
+			}
+		})
+		p.RemoveStale(func(types.Address) uint64 { return 1 })
+		if p.Len() != 0 {
+			t.Fatalf("len = %d after RemoveStale", p.Len())
+		}
+		return removed
+	}
+	want := make([]types.Hash, 0, 20)
+	for s := byte(1); s <= 20; s++ {
+		want = append(want, tx(s, 0, 10).Hash())
+	}
+	for i := 0; i < 20; i++ {
+		if got := run(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: RemoveStale feed not in arrival order", i)
+		}
 	}
 }
 
@@ -244,7 +294,7 @@ func TestConcurrentAdds(t *testing.T) {
 		t.Errorf("len = %d want %d", p.Len(), 8*50)
 	}
 	// Per-sender views must be complete and nonce-ordered.
-	for sender, txs := range p.BySender() {
+	for sender, txs := range bySender(p) {
 		if len(txs) != 50 {
 			t.Errorf("sender %s has %d", sender.Hex(), len(txs))
 		}
@@ -278,6 +328,34 @@ func TestArrivalCompaction(t *testing.T) {
 		if tr.Hash() != hashes[590+i] {
 			t.Error("compaction broke arrival order")
 		}
+	}
+}
+
+// TestAdmitAllocsOnePendingPerSender pins the flat index's admission
+// cost in the common shape of a block interval: every sender has one
+// frozen pending transaction, admitted and then removed at inclusion.
+// Each admission allocates only its arrival entry — no per-sender
+// index is built and dropped.
+func TestAdmitAllocsOnePendingPerSender(t *testing.T) {
+	const senders = 26
+	txs := make([]*types.Transaction, senders)
+	hashes := make([]types.Hash, senders)
+	for i := range txs {
+		txs[i] = tx(byte(i+1), 0, 10).Memoize()
+		hashes[i] = txs[i].Hash()
+	}
+	p := New()
+	cycle := func() {
+		for _, x := range txs {
+			if _, err := p.Admit(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Remove(hashes)
+	}
+	cycle() // size the maps and the arrival slice
+	if per := testing.AllocsPerRun(100, cycle) / senders; per > 1 {
+		t.Fatalf("%.2f allocations per admission, want ≤ 1", per)
 	}
 }
 
@@ -433,13 +511,13 @@ func TestReplacementKeepsSenderIndexed(t *testing.T) {
 	}
 	// Replacing the sender's only tx must keep them in the nonce index:
 	// a third same-nonce tx below the resident price is underpriced, and
-	// BySender still sees the sender.
+	// bySender still sees the sender.
 	mid := tx(1, 0, 15)
 	if err := p.Add(mid); !errors.Is(err, ErrUnderpriced) {
 		t.Fatalf("post-replacement same-nonce add: %v (sender index orphaned)", err)
 	}
-	if got := p.BySender()[addr(1)]; len(got) != 1 || got[0].Hash() != high.Hash() {
-		t.Fatalf("BySender lost the replaced sender: %v", got)
+	if got := bySender(p)[addr(1)]; len(got) != 1 || got[0].Hash() != high.Hash() {
+		t.Fatalf("bySender lost the replaced sender: %v", got)
 	}
 	if p.Len() != 1 {
 		t.Fatalf("len = %d", p.Len())

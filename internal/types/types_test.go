@@ -191,6 +191,28 @@ func TestDecodeTransactionErrors(t *testing.T) {
 	}
 }
 
+// FuzzDecodeTransaction fuzzes the decoder behind eth_sendRawTransaction
+// and hmsview's raw pending input: it must never panic, any transaction it
+// accepts must re-encode byte-identically (the encoding is canonical),
+// and the decoded transaction's identity hash must be the digest of that
+// encoding. The seed corpus in testdata holds a signed set, a signed buy,
+// an empty list and a signed buy with its tail cut off.
+func FuzzDecodeTransaction(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tx, err := DecodeTransaction(data)
+		if err != nil {
+			return
+		}
+		enc := tx.EncodeRLP()
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted input re-encodes differently:\n in %x\nout %x", data, enc)
+		}
+		if tx.Hash() != Keccak(enc) {
+			t.Fatal("decoded transaction hash is not the digest of its encoding")
+		}
+	})
+}
+
 func sampleBlock() *Block {
 	txs := []*Transaction{sampleTx()}
 	h := &Header{
