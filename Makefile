@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-eta chaos-smoke parallel-smoke serving-smoke crash-smoke elision-smoke fuzz-smoke
+.PHONY: all build test race vet bench bench-eta chaos-smoke serving-smoke crash-smoke elision-smoke fuzz-smoke
 
 all: vet build test
 
@@ -32,15 +32,6 @@ chaos-smoke:
 	$(GO) test -race -run 'TestChaosConcurrent|TestChaosTraceDeterministic|TestPartitionHealConverges|TestChurnRejoinCatchUp' ./internal/sim
 	$(GO) run -race ./cmd/serethsim -experiment chaos -quick -runs 2 -churn -partition
 
-# parallel-smoke runs the parallel-execution differential suite — the
-# SpecView shadow model, the conflict-dense fuzz corpus against the
-# sequential oracle, and the golden-scenario η comparison — under the
-# race detector.
-parallel-smoke:
-	$(GO) test -race -run 'TestSpecView' ./internal/statedb
-	$(GO) test -race -run 'TestParallel|FuzzParallelDifferential' ./internal/chain
-	$(GO) test -race -run 'TestParallelExec' ./internal/scenarios
-
 # crash-smoke runs the crash-consistency suite under the race detector:
 # storage fault injection and salvage, the chain-level crash-point and
 # bit-flip recovery sweeps (-short: 3 seeds per point), snapshot
@@ -60,8 +51,7 @@ crash-smoke:
 # reference, the zero-keccak frozen-instance admission and batch-id
 # assertions, the one-allocation pool admission pin, the block-hash
 # memo's stale-header checks and zero-keccak Nth import, and the golden
-# counter-pinned replay drop with bit-identical receipts (sequential and
-# parallel lanes).
+# counter-pinned replay drop with bit-identical receipts.
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
 	$(GO) test -race -run 'TestSha3|TestJumpTableMatchesGeneric|FuzzInterpreter' ./internal/evm
@@ -69,13 +59,14 @@ elision-smoke:
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
 	$(GO) test -race -run 'TestBlockHash' ./internal/types
 	$(GO) test -race -run 'TestNthImportZeroKeccak' ./internal/chain
-	$(GO) test -race -run 'TestReplayKeccakCountDrop|TestParallelReplayElidesIdentically' ./internal/scenarios
+	$(GO) test -race -run 'TestReplayKeccakCountDrop' ./internal/scenarios
 
-# fuzz-smoke fuzzes the block decoder (gossip, sync and the on-disk
-# log all go through it) and then the transaction decoder (the
-# eth_sendRawTransaction path) for 10 s each, starting from their
-# committed corpora.
+# fuzz-smoke fuzzes the RLP item decoder and the block decoder built on
+# it (gossip, sync and the on-disk log all go through both) and then the
+# transaction decoder (the eth_sendRawTransaction path) for 10 s each,
+# starting from their committed corpora.
 fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/rlp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTransaction$$' -fuzztime 10s ./internal/types
 

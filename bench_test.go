@@ -11,7 +11,6 @@ package sereth
 // reproduction targets.
 
 import (
-	"fmt"
 	"testing"
 
 	"sereth/internal/chain"
@@ -205,38 +204,6 @@ func BenchmarkBlockReplay(b *testing.B) {
 		b.ResetTimer()
 		run(b, cache)
 	})
-}
-
-// C3: parallel intra-block execution — the 100/1000-tx conflict-sparse
-// KV workload replayed through the sequential oracle and through the
-// optimistic parallel processor at 1/2/4/8 workers (threshold 1). On a
-// multi-core host the worker rows scale toward GOMAXPROCS (acceptance
-// bar: >= 2.5x at 4 workers on the 1000-tx body); on a single-core
-// runner they measure pure scheduler overhead. Results are pinned
-// bit-identical to sequential by TestParallelMatchesSequentialSparse.
-func BenchmarkBlockReplayParallel(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		fixture := scenarios.NewParallelFixture(n)
-		run := func(b *testing.B, workers int) {
-			proc := fixture.NewProcessor(workers)
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := proc.Process(fixture.Genesis, fixture.Header, fixture.Txs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Receipts) != n {
-					b.Fatalf("receipts = %d", len(res.Receipts))
-				}
-			}
-		}
-		b.Run(fmt.Sprintf("sequential-%dtx", n), func(b *testing.B) { run(b, 0) })
-		for _, workers := range []int{1, 2, 4, 8} {
-			workers := workers
-			b.Run(fmt.Sprintf("parallel-%dtx-w%d", n, workers), func(b *testing.B) { run(b, workers) })
-		}
-	}
 }
 
 // A1: per-transaction pool admission — copy, identity hash, duplicate

@@ -63,10 +63,8 @@ type Record struct {
 	Crashes           int    `json:"crashes,omitempty"`
 	RecoveredFromDisk int    `json:"recovered_from_disk,omitempty"`
 	SalvageTornBytes  uint64 `json:"salvage_torn_bytes,omitempty"`
-	// exec/parallel-* rows: wall-time ratio of the sequential oracle
-	// replaying the same body (sequential ns/op ÷ this row's ns/op).
-	// keccak/elision-* rows reuse it for the elision-off twin's ns/op
-	// over this row's ns/op (the same-run elision speedup).
+	// keccak/elision-* rows: the elision-off twin's ns/op over this
+	// row's ns/op (the same-run elision speedup).
 	Speedup float64 `json:"speedup,omitempty"`
 	// keccak/elision-* rows: keccak digest finalizations per operation
 	// (keccak.Invocations delta) — the elision acceptance metric is
@@ -139,13 +137,6 @@ func main() {
 	fullReplay, cachedReplay := blockReplay()
 	add(fullReplay)
 	add(cachedReplay)
-	for _, r := range parallelReplay() {
-		add(r)
-	}
-	if runtime.NumCPU() < 4 {
-		fmt.Printf("note: %d-CPU host — exec/parallel-* rows measure scheduler overhead, not parallel speedup (acceptance bar >= 2.5x at 4 workers needs >= 4 cores)\n",
-			runtime.NumCPU())
-	}
 	add(keccakBench("keccak/sum256-64B", 64))
 	add(keccakBench("keccak/sum256-1KB", 1024))
 	add(txAdmission())
@@ -322,41 +313,6 @@ func blockReplay() (full, cached Record) {
 	}
 	cached = benchRecord("replay/insert-100tx-cached", run(warm))
 	return full, cached
-}
-
-// parallelReplay measures the optimistic parallel processor against the
-// sequential oracle on the conflict-sparse 100/1000-tx KV bodies
-// (distinct senders, distinct slots — the scheduler's best case; results
-// are pinned bit-identical by the differential suite). Speedup on the
-// parallel rows is sequential ns/op over that row's ns/op: it tracks
-// GOMAXPROCS on multi-core hosts and measures pure scheduler overhead
-// on single-core runners.
-func parallelReplay() []Record {
-	var out []Record
-	for _, n := range []int{100, 1000} {
-		fixture := scenarios.NewParallelFixture(n)
-		run := func(workers int) testing.BenchmarkResult {
-			proc := fixture.NewProcessor(workers)
-			return testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := proc.Process(fixture.Genesis, fixture.Header, fixture.Txs); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		seq := benchRecord(fmt.Sprintf("exec/sequential-%dtx", n), run(0))
-		out = append(out, seq)
-		for _, workers := range []int{2, 4, 8} {
-			rec := benchRecord(fmt.Sprintf("exec/parallel-%dtx-w%d", n, workers), run(workers))
-			if rec.NsPerOp > 0 {
-				rec.Speedup = seq.NsPerOp / rec.NsPerOp
-			}
-			out = append(out, rec)
-		}
-	}
-	return out
 }
 
 // keccakBench measures the one-shot Sum256 sponge on an n-byte input —

@@ -54,8 +54,6 @@ func run(args []string) error {
 	minerStr := fs.String("miner", "baseline", "miner: none, baseline, semantic")
 	interval := fs.Duration("interval", 15*time.Second, "block interval")
 	keys := fs.Int("keys", 8, "pre-registered demo keys (demo-0..demo-N)")
-	parallel := fs.Bool("parallel", false, "execute block bodies on the optimistic parallel processor")
-	parallelWorkers := fs.Int("parallel-workers", 0, "speculation worker count for -parallel (0 = GOMAXPROCS)")
 	datadir := fs.String("datadir", "", "directory for the persistent state store; a restart recovers the head without replay")
 	snapshot := fs.String("snapshot", "", "bootstrap from an exported state snapshot (ignored when -datadir already has a head)")
 	exportSnapshot := fs.String("export-snapshot", "", "write a state snapshot of the head to this path on clean shutdown")
@@ -99,8 +97,6 @@ func run(args []string) error {
 	genesis.SetCode(contract, asm.SerethContract())
 	chainCfg := chain.DefaultConfig()
 	chainCfg.Registry = reg
-	chainCfg.Parallel = *parallel
-	chainCfg.ParallelWorkers = *parallelWorkers
 
 	nodeCfg := node.Config{
 		ID: 1, Mode: mode, Miner: minerKind,

@@ -47,8 +47,6 @@ func run(args []string) error {
 	degree := fs.Int("degree", 0, "neighbor degree for -topology dregular")
 	lazyClients := fs.Bool("lazy-clients", false,
 		"client peers adopt shared validated executions without re-verification (large -peers sweeps)")
-	parallel := fs.Bool("parallel", false,
-		"execute block bodies on the optimistic parallel processor (4 workers, threshold 1); η is bit-identical to sequential execution")
 	rpcClients := fs.Bool("rpc-clients", false,
 		"clients reach their peers over real HTTP JSON-RPC (sereth_view / eth_sendRawTransaction); η is bit-identical to in-process clients")
 	persist := fs.Bool("persist", false,
@@ -75,7 +73,6 @@ func run(args []string) error {
 		return err
 	}
 	shape.LazyClients = *lazyClients
-	shape.ParallelExec = *parallel
 	shape.RPCClients = *rpcClients
 	shape.Persist = *persist
 

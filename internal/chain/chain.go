@@ -51,18 +51,6 @@ type Config struct {
 	// cache still get the full replay; without an ExecCache the flag has
 	// no effect.
 	LazyValidation bool
-	// Parallel enables optimistic parallel intra-block execution
-	// (ParallelProcessor): bodies of at least ParallelThreshold
-	// transactions speculate on a worker pool and commit in order,
-	// producing byte-identical receipts and roots. Off by default — the
-	// sequential processor remains the reference semantics.
-	Parallel bool
-	// ParallelWorkers sizes the speculation pool; <= 0 means GOMAXPROCS.
-	ParallelWorkers int
-	// ParallelThreshold is the smallest body length executed in
-	// parallel; <= 0 means DefaultParallelThreshold. Smaller bodies fall
-	// back to the sequential path.
-	ParallelThreshold int
 	// Store, when set, persists the chain: every adopted block flushes
 	// its dirty state-trie paths, body and head pointer into the store,
 	// and Open recovers head state from it without replaying the chain.
@@ -88,11 +76,6 @@ func DefaultConfig() Config {
 type Chain struct {
 	cfg  Config
 	proc *Processor
-	// par is the optimistic parallel executor; nil unless cfg.Parallel.
-	// Every body execution routes through processBody, which picks the
-	// parallel path when available — both paths produce byte-identical
-	// ExecResults, so consumers never know which ran.
-	par *ParallelProcessor
 
 	mu sync.RWMutex
 	// blocks is the canonical chain as a dense slice: blocks[i] has
@@ -133,13 +116,6 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 		state:    state,
 		posts:    map[types.Hash]*statedb.StateDB{genesis.Hash(): state},
 	}
-	if cfg.Parallel {
-		c.par = NewParallelProcessor(cfg)
-		// The parallel processor wraps its own sequential oracle; use it
-		// as the chain's processor so ApplyTransaction and the fallback
-		// path share one instance.
-		c.proc = c.par.Sequential()
-	}
 	if cfg.Store != nil {
 		// Persist genesis so a datadir created now recovers later even if
 		// no block is ever adopted. Persist errors at construction are
@@ -150,25 +126,6 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 		}
 	}
 	return c
-}
-
-// processBody executes a block body through the parallel processor when
-// one is configured, the sequential processor otherwise. The two are
-// differentially pinned to byte-identical results.
-func (c *Chain) processBody(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) (*ExecResult, error) {
-	if c.par != nil {
-		return c.par.Process(parentState, header, txs)
-	}
-	return c.proc.Process(parentState, header, txs)
-}
-
-// ParallelStats returns the scheduler counters of the parallel
-// processor; the zero value when parallel execution is disabled.
-func (c *Chain) ParallelStats() ParallelStats {
-	if c.par == nil {
-		return ParallelStats{}
-	}
-	return c.par.Stats()
 }
 
 // Processor returns the chain's block-execution pipeline.
@@ -267,19 +224,7 @@ func (c *Chain) ApplyTransaction(st *statedb.StateDB, header *types.Header, tx *
 // build headers from it; InsertBlock verifies against it; the two never
 // re-derive a root the processor already produced.
 func (c *Chain) Process(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) (*ExecResult, error) {
-	return c.processBody(parentState, header, txs)
-}
-
-// ExecuteBlock replays a block body against a parent state copy and
-// returns the receipts, the post state, and the total gas used.
-// Compatibility form of Process for consumers that do not need the
-// memoized roots.
-func (c *Chain) ExecuteBlock(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) ([]*types.Receipt, *statedb.StateDB, uint64, error) {
-	res, err := c.processBody(parentState, header, txs)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return res.Receipts, res.Post, res.GasUsed, nil
+	return c.proc.Process(parentState, header, txs)
 }
 
 // InsertBlock validates a block and appends it to the chain. Without an
@@ -360,7 +305,7 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 	// header checks below compare against them instead of re-deriving,
 	// and a cache Put shares the very same ExecResult with every later
 	// importer.
-	res, err := c.processBody(parentState, block.Header, block.Txs)
+	res, err := c.proc.Process(parentState, block.Header, block.Txs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -499,7 +444,7 @@ func (c *Chain) Orphaned() uint64 {
 
 // adopt appends a validated block. post must be flushed (Root called);
 // it may be shared with other chains and is never mutated in place —
-// every execution copies it first (ExecuteBlock) and reads go through
+// every execution copies it first (Process) and reads go through
 // ReadState/State. With a store configured, the block is persisted
 // BEFORE the in-memory adoption so a persist failure leaves memory and
 // disk agreeing on the old head.

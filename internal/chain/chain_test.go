@@ -2,6 +2,8 @@ package chain
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"sereth/internal/asm"
@@ -39,14 +41,14 @@ func buildBlock(t *testing.T, c *Chain, txs []*types.Transaction) *types.Block {
 		GasLimit:   c.Config().GasLimit,
 		Time:       head.Header.Time + 15,
 	}
-	receipts, post, gasUsed, err := c.ExecuteBlock(c.State(), header, txs)
+	res, err := c.Process(c.State(), header, txs)
 	if err != nil {
 		t.Fatalf("execute block: %v", err)
 	}
 	header.TxRoot = types.DeriveTxRoot(txs)
-	header.ReceiptRoot = types.DeriveReceiptRoot(receipts)
-	header.StateRoot = post.Root()
-	header.GasUsed = gasUsed
+	header.ReceiptRoot = types.DeriveReceiptRoot(res.Receipts)
+	header.StateRoot = res.Post.Root()
+	header.GasUsed = res.GasUsed
 	if !Seal(header, c.Config().Difficulty, 1<<20) {
 		t.Fatal("seal search failed")
 	}
@@ -198,7 +200,7 @@ func TestInsertRejectsTamperedCalldata(t *testing.T) {
 		GasLimit:   c.Config().GasLimit,
 	}
 	txs := []*types.Transaction{tampered}
-	if _, _, _, err := c.ExecuteBlock(c.State(), header, txs); !errors.Is(err, ErrBadSignature) {
+	if _, err := c.Process(c.State(), header, txs); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("tampered calldata: %v", err)
 	}
 }
@@ -212,7 +214,7 @@ func TestNonceEnforcement(t *testing.T) {
 	// Nonce 1 before nonce 0: rejected at execution time.
 	tx := setTxFor(alice, 1, types.ZeroWord, 5, types.FlagHead)
 	header := &types.Header{ParentHash: c.Head().Hash(), Number: 1, GasLimit: c.Config().GasLimit}
-	if _, _, _, err := c.ExecuteBlock(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrBadNonce) {
+	if _, err := c.Process(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrBadNonce) {
 		t.Errorf("bad nonce: %v", err)
 	}
 }
@@ -227,7 +229,7 @@ func TestBlockGasLimit(t *testing.T) {
 	// One 300k-gas-limit tx exceeds the 100k block limit.
 	tx := setTxFor(alice, 0, types.ZeroWord, 5, types.FlagHead)
 	header := &types.Header{ParentHash: c.Head().Hash(), Number: 1, GasLimit: cfg.GasLimit}
-	if _, _, _, err := c.ExecuteBlock(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrGasLimitReached) {
+	if _, err := c.Process(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrGasLimitReached) {
 		t.Errorf("gas limit: %v", err)
 	}
 }
@@ -449,5 +451,133 @@ func TestSealedChainRejectsUnsealed(t *testing.T) {
 	}
 	if _, err := c.InsertBlock(block); !errors.Is(err, ErrBadSeal) {
 		t.Errorf("unsealed block: %v", err)
+	}
+}
+
+// transferBody builds an n-transaction body of plain value transfers,
+// one funded registered sender each, all paying the same sink.
+func transferBody(n int) (*wallet.Registry, *statedb.StateDB, []*types.Transaction) {
+	reg := wallet.NewRegistry()
+	genesis := genesisWithContract()
+	sink := types.Address{19: 0x5e}
+	txs := make([]*types.Transaction, n)
+	for i := range txs {
+		key := wallet.NewKey(fmt.Sprintf("sender-%d", i))
+		reg.Register(key)
+		genesis.AddBalance(key.Address(), 100)
+		txs[i] = key.SignTx(&types.Transaction{
+			Nonce: 0, To: sink, Value: 1, GasPrice: 10, GasLimit: 100_000,
+		})
+	}
+	return reg, genesis, txs
+}
+
+func TestMidBodyRejection(t *testing.T) {
+	// A body that may not form a block fails as a whole, naming the
+	// offending transaction's index, and leaves the parent state alone.
+	tests := []struct {
+		name     string
+		gasLimit uint64
+		corrupt  func(reg *wallet.Registry, txs []*types.Transaction)
+		want     error
+		text     string
+	}{
+		{
+			name: "bad-nonce", gasLimit: 10_000_000,
+			corrupt: func(reg *wallet.Registry, txs []*types.Transaction) {
+				bad := wallet.NewKey("bad-nonce-sender")
+				reg.Register(bad)
+				txs[17] = bad.SignTx(&types.Transaction{Nonce: 7, To: contractAddr, GasPrice: 10, GasLimit: 100_000})
+			},
+			want: ErrBadNonce,
+			text: "tx 17: chain: invalid transaction nonce: account 0, tx 7",
+		},
+		{
+			name: "bad-signature", gasLimit: 10_000_000,
+			corrupt: func(_ *wallet.Registry, txs []*types.Transaction) {
+				txs[23] = wallet.NewKey("never-registered").SignTx(&types.Transaction{
+					Nonce: 0, To: contractAddr, GasPrice: 10, GasLimit: 100_000,
+				})
+			},
+			want: ErrBadSignature,
+			text: "tx 23: chain: invalid transaction signature: ",
+		},
+		{
+			// Each transfer uses 21k gas under a 100k limit; the
+			// sixteenth's limit no longer fits the remaining budget.
+			name: "gas-limit", gasLimit: 400_000,
+			corrupt: func(*wallet.Registry, []*types.Transaction) {},
+			want:    ErrGasLimitReached,
+			text:    ErrGasLimitReached.Error(),
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			reg, genesis, txs := transferBody(40)
+			tt.corrupt(reg, txs)
+			c := New(Config{GasLimit: tt.gasLimit, Registry: reg}, genesis)
+			parentRoot := c.State().Root()
+			header := &types.Header{ParentHash: c.Head().Hash(), Number: 1, GasLimit: tt.gasLimit, Time: 15}
+			_, err := c.Process(c.State(), header, txs)
+			if !errors.Is(err, tt.want) {
+				t.Fatalf("err = %v, want %v", err, tt.want)
+			}
+			if !strings.HasPrefix(err.Error(), tt.text) {
+				t.Errorf("error text %q, want prefix %q", err.Error(), tt.text)
+			}
+			if got := c.State().Root(); got != parentRoot {
+				t.Error("rejected body mutated the parent state")
+			}
+		})
+	}
+}
+
+func TestMultiTxBody(t *testing.T) {
+	// One body carrying a same-sender nonce chain of chained sets — each
+	// reading the mark its predecessor wrote — then transfers from
+	// distinct senders: every transaction succeeds, and an independent
+	// validator replays the block onto the same root.
+	reg, genesis, transfers := transferBody(8)
+	owner := wallet.NewKey("chain-owner")
+	reg.Register(owner)
+	var txs []*types.Transaction
+	prev, flag := types.ZeroWord, types.FlagHead
+	for i := 0; i < 16; i++ {
+		v := uint64(10 + i)
+		txs = append(txs, setTxFor(owner, uint64(i), prev, v, flag))
+		prev = types.NextMark(prev, types.WordFromUint64(v))
+		flag = types.FlagChain
+	}
+	txs = append(txs, transfers...)
+	cfg := DefaultConfig()
+	cfg.Registry = reg
+	producer, validator := New(cfg, genesis), New(cfg, genesis)
+
+	block := buildBlock(t, producer, txs)
+	receipts, err := producer.InsertBlock(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range receipts {
+		if r.Status != types.StatusSucceeded || r.TxIndex != i {
+			t.Errorf("receipt %d: status %v index %d", i, r.Status, r.TxIndex)
+		}
+	}
+	if _, err := validator.InsertBlock(block); err != nil {
+		t.Fatalf("validator rejected the body: %v", err)
+	}
+	validator.ReadState(func(st *statedb.StateDB) {
+		if got := st.GetState(contractAddr, types.WordFromUint64(asm.SlotMark)); got != prev {
+			t.Error("chained sets did not advance the mark")
+		}
+		if st.GetNonce(owner.Address()) != 16 {
+			t.Errorf("owner nonce = %d, want 16", st.GetNonce(owner.Address()))
+		}
+		if got := st.GetBalance(types.Address{19: 0x5e}); got != 8 {
+			t.Errorf("sink balance = %d, want 8", got)
+		}
+	})
+	if producer.State().Root() != validator.State().Root() {
+		t.Error("peers diverged after replay")
 	}
 }

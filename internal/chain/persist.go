@@ -207,9 +207,5 @@ func openAt(cfg Config, kv store.Store, head uint64) (*Chain, error) {
 	for _, b := range blocks {
 		c.byHash[b.Hash()] = b
 	}
-	if cfg.Parallel {
-		c.par = NewParallelProcessor(cfg)
-		c.proc = c.par.Sequential()
-	}
 	return c, nil
 }

@@ -18,23 +18,6 @@ import (
 	"sereth/internal/wallet"
 )
 
-// execState is the world-state surface one transaction application
-// mutates. Both *statedb.StateDB (the sequential path and the parallel
-// commit/re-run lane) and *statedb.SpecView (the parallel speculation
-// lane) satisfy it, so the SAME applyTransaction code is the oracle for
-// every execution mode — speculative runs cannot drift semantically
-// from the sequential reference.
-type execState interface {
-	evm.State
-	GetNonce(addr types.Address) uint64
-	SetNonce(addr types.Address, nonce uint64)
-	AddBalance(addr types.Address, amount uint64)
-	SubBalance(addr types.Address, amount uint64) bool
-	Snapshot() int
-	RevertToSnapshot(id int)
-	MutatedSince(snap int) bool
-}
-
 // Processor executes block bodies for one chain configuration. It is
 // stateless between calls (per-block scratch lives in the ExecResult or
 // comes from pools), so one instance may be shared by concurrent
@@ -57,10 +40,9 @@ func NewProcessor(cfg Config) *Processor {
 // transaction failures produce Failed receipts instead.
 func (p *Processor) Process(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) (*ExecResult, error) {
 	st := parentState.Copy()
-	// One journal reservation for the whole body, sized by the shared
-	// per-transaction heuristic (statedb.JournalEntriesPerTx — the same
-	// constant the parallel processor's per-worker reservations use), so
-	// the replay proceeds without a single growth copy.
+	// One journal reservation for the whole body, sized by statedb's
+	// per-transaction heuristic, so the replay proceeds without a single
+	// growth copy.
 	st.ReserveJournal(statedb.BodyJournalCapacity(len(txs)))
 	// Arena: every receipt of the block comes from one slab, one
 	// allocation for the whole body instead of one per transaction. The
@@ -98,7 +80,7 @@ func (p *Processor) Process(parentState *statedb.StateDB, header *types.Header, 
 // appear in a block at all (bad signature / nonce). Logical failures
 // (reverts, EVM faults, contract-reported no-ops) produce a Failed
 // receipt with every state effect rolled back.
-func (p *Processor) applyTransaction(machine *evm.EVM, st execState, header *types.Header, tx *types.Transaction, txIndex int, receipt *types.Receipt) error {
+func (p *Processor) applyTransaction(machine *evm.EVM, st *statedb.StateDB, header *types.Header, tx *types.Transaction, txIndex int, receipt *types.Receipt) error {
 	if p.registry != nil {
 		if err := p.registry.VerifyTx(tx); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSignature, err)
@@ -139,11 +121,9 @@ func (p *Processor) applyTransaction(machine *evm.EVM, st execState, header *typ
 
 	// Feed the admission-derived mark digest to the interpreter so the
 	// contract's own SHA3 over the same prevMark‖value bytes is elided.
-	// Set unconditionally (the zero hint clears): every lane — the
-	// sequential processor, the parallel workers and the serial re-run —
-	// applies transactions through this function, so all three elide
-	// identically, and a machine recycled across transactions can never
-	// carry a previous hint into a hint-less one.
+	// Set unconditionally (the zero hint clears): Process reuses one
+	// machine for the whole body, so a hint-less transaction must never
+	// inherit the previous transaction's hint.
 	var hint evm.TxHint
 	if input, mark, ok := tx.MarkHint(); ok {
 		hint.MarkInput, hint.Mark = input, mark

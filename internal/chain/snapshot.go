@@ -109,10 +109,6 @@ func OpenSnapshot(cfg Config, r io.Reader) (*Chain, error) {
 		state:    state,
 		posts:    map[types.Hash]*statedb.StateDB{head.Hash(): state},
 	}
-	if cfg.Parallel {
-		c.par = NewParallelProcessor(cfg)
-		c.proc = c.par.Sequential()
-	}
 	if cfg.Store != nil {
 		if err := c.persistLocked(head, state); err != nil {
 			return nil, fmt.Errorf("chain: persisting snapshot: %w", err)

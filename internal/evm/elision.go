@@ -33,10 +33,9 @@ import (
 // as content→digest pairs: Mark is Keccak-256 over exactly the bytes
 // of MarkInput (the 64-byte prevMark‖value region) and PrevDigest over
 // exactly PrevInput (the 32-byte prevMark region). The chain's
-// applyTransaction populates it from Transaction.MarkHint/PrevHint
-// before each call and EVM.Reset clears it, so a hint can never
-// outlive its transaction on the parallel processor's recycled
-// per-worker machines.
+// applyTransaction sets it from Transaction.MarkHint/PrevHint before
+// every call, the zero TxHint included, so a hint can never outlive its
+// transaction on the machine the processor reuses across a body.
 type TxHint struct {
 	MarkInput  []byte
 	Mark       types.Word
@@ -119,9 +118,7 @@ func (m *sha3Memo) store(data []byte, out types.Word) {
 
 // SetTxHint installs the per-transaction hash hint consulted by the
 // jump-table SHA3 handler. Pass the zero TxHint to clear it. The chain
-// processor sets it immediately before each transaction's call (all
-// execution lanes — sequential, speculative worker, serial re-run — go
-// through the same applyTransaction, so they elide identically).
+// processor sets it immediately before each transaction's call.
 func (e *EVM) SetTxHint(h TxHint) { e.hint = h }
 
 // sha3 is the elision-aware Keccak-256 entry point for the jump-table

@@ -166,11 +166,11 @@ func TestSha3HintElidesByCount(t *testing.T) {
 	}
 }
 
-// TestSha3ResetClearsHintKeepsMemo pins the Reset contract: a recycled
-// machine must drop the previous transaction's hint but may keep the
-// content memo (its hits are byte-verified, so entries cannot go
-// stale).
-func TestSha3ResetClearsHintKeepsMemo(t *testing.T) {
+// TestSha3ClearedHintKeepsMemo pins the per-transaction hint contract
+// of a machine reused across a body: installing the zero TxHint drops
+// the previous transaction's hint, while the content memo survives
+// (its hits are byte-verified, so entries cannot go stale).
+func TestSha3ClearedHintKeepsMemo(t *testing.T) {
 	input := seqBytes(128)
 	code := sha3Prog(36, 64, false)
 	ctx := CallContext{Contract: types.Address{19: 0xcc}, Input: input, Gas: 100_000}
@@ -180,21 +180,20 @@ func TestSha3ResetClearsHintKeepsMemo(t *testing.T) {
 		t.Fatal("hint not installed")
 	}
 	e.Call(ctx) // hint hit; memo untouched
-	e.Reset(newDiffState(code))
+	e.SetTxHint(TxHint{})
 	if len(e.hint.MarkInput) != 0 || len(e.hint.PrevInput) != 0 {
-		t.Fatal("Reset must clear the per-tx hint")
+		t.Fatal("the zero TxHint must clear the per-tx hint")
 	}
 	// Without the hint the first call computes (1 sponge) and memoizes;
-	// Reset again, then the repeat must hit the surviving memo.
+	// the repeat must hit the surviving memo.
 	e.Call(ctx)
-	e.Reset(newDiffState(code))
 	before := keccak.Invocations()
 	res := e.Call(ctx)
 	if n := keccak.Invocations() - before; n != 0 {
-		t.Errorf("memo after Reset: %d sponges, want 0 (memo must survive Reset)", n)
+		t.Errorf("memo after clearing the hint: %d sponges, want 0", n)
 	}
 	if want := types.Keccak(input[36:100]).Word(); res.ReturnWord() != want {
-		t.Errorf("memo after Reset: digest %x, want %x", res.ReturnWord(), want)
+		t.Errorf("memo after clearing the hint: digest %x, want %x", res.ReturnWord(), want)
 	}
 }
 

@@ -107,19 +107,6 @@ func New(state State, block BlockContext) *EVM {
 	return &EVM{state: state, block: block}
 }
 
-// Reset rebinds the interpreter to a different state, keeping the block
-// context and RAA provider. The parallel block processor points one
-// per-worker EVM at each transaction's speculative view; the pooled
-// interpreter frames (and their jumpdest memos) are shared through the
-// package-level pool either way. The per-transaction hash hint is
-// cleared — a recycled worker machine must not carry the previous
-// transaction's hint — while the content-keyed SHA3 memo survives (its
-// hits are byte-verified, so entries can never go stale).
-func (e *EVM) Reset(state State) {
-	e.state = state
-	e.hint = TxHint{}
-}
-
 // SetRAAProvider installs (or clears, with nil) the RAA data service.
 // Only Sereth-mode clients install one; standard clients leave it unset
 // and argument words pass through unchanged, which is what makes the two

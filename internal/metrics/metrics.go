@@ -93,33 +93,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return cp[lo]*(1-frac) + cp[lo+1]*frac
 }
 
-// MovingAverage smooths a series with a centered window of the given
-// width (the "smoothed averages" of Figure 2). Width < 2 returns a copy.
-func MovingAverage(xs []float64, width int) []float64 {
-	out := make([]float64, len(xs))
-	if width < 2 {
-		copy(out, xs)
-		return out
-	}
-	half := width / 2
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		var sum float64
-		for j := lo; j <= hi; j++ {
-			sum += xs[j]
-		}
-		out[i] = sum / float64(hi-lo+1)
-	}
-	return out
-}
-
 // Throughput is the paper's §III-A accounting: raw throughput counts all
 // included transactions, state throughput only those that changed state.
 type Throughput struct {

@@ -270,3 +270,21 @@ func TestAppendHelpersMatchEncode(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecode fuzzes the item decoder that gossip, sync and the on-disk
+// log all decode through: it must never panic, and any input it
+// accepts must re-encode byte-identically — which also means every
+// non-canonical encoding is rejected. The seed corpus in testdata holds
+// a nested list, a 56-byte long string, a long list, and the
+// non-canonical 81 05, b8 00 and leading-zero length encodings.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		it, err := Decode(data)
+		if err != nil {
+			return
+		}
+		if enc := Encode(it); !bytes.Equal(enc, data) {
+			t.Fatalf("accepted input re-encodes differently:\n in %x\nout %x", data, enc)
+		}
+	})
+}

@@ -294,97 +294,3 @@ func ChainPool(n int) (*txpool.Pool, *hms.Tracker, *types.Transaction) {
 	}
 	return pool, tracker, tail
 }
-
-// KVContract is the conventional address of the key-value store
-// contract used by the conflict-sparse parallel-execution fixtures.
-var KVContract = types.Address{19: 0xd0}
-
-// ParallelFixture is the conflict-sparse replay workload for the
-// optimistic parallel processor: n distinct registered senders, each
-// issuing one put on its own key of the KV store contract. No two
-// transactions touch the same account or storage slot (beyond the
-// shared code read), so every speculation validates and the workload
-// measures the scheduler's best case — the complement of the
-// maximally conflict-dense chained-set ReplayFixture.
-type ParallelFixture struct {
-	Registry *wallet.Registry
-	Genesis  *statedb.StateDB
-	Header   *types.Header
-	Txs      []*types.Transaction
-	GasLimit uint64
-}
-
-// NewParallelFixture builds the n-transaction conflict-sparse fixture.
-func NewParallelFixture(n int) *ParallelFixture {
-	reg := wallet.NewRegistry()
-	genesis := statedb.New()
-	genesis.SetCode(KVContract, asm.KVStoreContract())
-	gasLimit := uint64(n+1) * 100_000
-	txs := make([]*types.Transaction, n)
-	for i := range txs {
-		key := wallet.NewKey(fmt.Sprintf("par-sender-%d", i))
-		reg.Register(key)
-		// Memoized like the real import path (see NewReplayFixture).
-		txs[i] = key.SignTx(&types.Transaction{
-			Nonce:    0,
-			To:       KVContract,
-			GasPrice: 10,
-			GasLimit: 100_000,
-			Data: types.EncodeCall(asm.SelPut,
-				types.WordFromUint64(uint64(i)),
-				types.WordFromUint64(uint64(i+1))),
-		}).Memoize()
-	}
-	return &ParallelFixture{
-		Registry: reg,
-		Genesis:  genesis,
-		Header:   &types.Header{Number: 1, GasLimit: gasLimit, Time: 15},
-		Txs:      txs,
-		GasLimit: gasLimit,
-	}
-}
-
-// NewParallelFixtureWithReaders is NewParallelFixture plus readers
-// no-op reader transactions interleaved through the body: each is an
-// unknown-selector call on the KV contract from its own fresh sender,
-// so it executes to a successful STOP whose only state write is the
-// sender's nonce bump. This is the shape of the serving tier's read
-// traffic when routed through transactions, and it drives the commit
-// loop's nonce-only merge fast path (ParallelStats.NonceOnlyMerges).
-func NewParallelFixtureWithReaders(n, readers int) *ParallelFixture {
-	f := NewParallelFixture(n)
-	peek := types.SelectorFor("peek()") // not in the KV dispatch table
-	for i := 0; i < readers; i++ {
-		key := wallet.NewKey(fmt.Sprintf("par-reader-%d", i))
-		f.Registry.Register(key)
-		tx := key.SignTx(&types.Transaction{
-			Nonce:    0,
-			To:       KVContract,
-			GasPrice: 10,
-			GasLimit: 100_000,
-			Data:     types.EncodeCall(peek),
-		}).Memoize()
-		// Interleave so readers and writers share the speculation pool.
-		at := (i * 2) % (len(f.Txs) + 1)
-		f.Txs = append(f.Txs[:at], append([]*types.Transaction{tx}, f.Txs[at:]...)...)
-	}
-	f.GasLimit = uint64(len(f.Txs)+1) * 100_000
-	f.Header.GasLimit = f.GasLimit
-	return f
-}
-
-// NewProcessor returns a processor over the fixture's configuration:
-// sequential when workers == 0, parallel with that worker count
-// otherwise (threshold 1, so every body takes the parallel path).
-func (f *ParallelFixture) NewProcessor(workers int) interface {
-	Process(*statedb.StateDB, *types.Header, []*types.Transaction) (*chain.ExecResult, error)
-} {
-	cfg := chain.Config{GasLimit: f.GasLimit, Registry: f.Registry}
-	if workers == 0 {
-		return chain.NewProcessor(cfg)
-	}
-	cfg.Parallel = true
-	cfg.ParallelWorkers = workers
-	cfg.ParallelThreshold = 1
-	return chain.NewParallelProcessor(cfg)
-}

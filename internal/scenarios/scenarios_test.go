@@ -3,7 +3,6 @@ package scenarios
 import (
 	"testing"
 
-	"sereth/internal/chain"
 	"sereth/internal/types"
 )
 
@@ -86,43 +85,5 @@ func TestReplayFixtureValidates(t *testing.T) {
 		if r.Status != types.StatusSucceeded {
 			t.Errorf("fixture tx %d failed", i)
 		}
-	}
-}
-
-// TestParallelReaderFastPath pins the nonce-only merge fast path
-// against the sequential oracle on the reader-extended conflict-sparse
-// fixture: results stay bit-identical and the ParallelStats counter
-// proves every reader took the fast path.
-func TestParallelReaderFastPath(t *testing.T) {
-	const writers, readers = 48, 24
-	f := NewParallelFixtureWithReaders(writers, readers)
-	if len(f.Txs) != writers+readers {
-		t.Fatalf("fixture has %d txs", len(f.Txs))
-	}
-
-	seq, err := f.NewProcessor(0).Process(f.Genesis.Copy(), f.Header, f.Txs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parP := f.NewProcessor(4).(*chain.ParallelProcessor)
-	par, err := parP.Process(f.Genesis.Copy(), f.Header, f.Txs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.StateRoot != par.StateRoot || seq.ReceiptRoot != par.ReceiptRoot || seq.GasUsed != par.GasUsed {
-		t.Fatal("parallel run with readers diverges from sequential oracle")
-	}
-	for i, r := range seq.Receipts {
-		if r.Status != par.Receipts[i].Status {
-			t.Fatalf("receipt %d status diverges", i)
-		}
-	}
-
-	stats := parP.Stats()
-	if stats.NonceOnlyMerges != readers {
-		t.Fatalf("NonceOnlyMerges = %d, want %d", stats.NonceOnlyMerges, readers)
-	}
-	if stats.Merged != uint64(writers+readers) {
-		t.Fatalf("Merged = %d (reruns %d) on the conflict-free fixture", stats.Merged, stats.Reruns)
 	}
 }

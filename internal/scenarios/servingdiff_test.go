@@ -6,6 +6,28 @@ import (
 	"sereth/internal/sim"
 )
 
+// compareRuns demands two runs of one scenario that differ only in a
+// mode pinned to change nothing the paper measures be observationally
+// identical: every derived measurement — inclusion and success counts,
+// η, block/message totals — must match exactly (not approximately).
+func compareRuns(t *testing.T, name string, a, b sim.Result) {
+	t.Helper()
+	if a.Efficiency() != b.Efficiency() || a.SetEfficiency() != b.SetEfficiency() {
+		t.Errorf("%s: η divergence: %.6f/%.6f vs %.6f/%.6f",
+			name, a.Efficiency(), a.SetEfficiency(), b.Efficiency(), b.SetEfficiency())
+	}
+	if a.BuysIncluded != b.BuysIncluded || a.BuysSucceeded != b.BuysSucceeded ||
+		a.SetsIncluded != b.SetsIncluded || a.SetsSucceeded != b.SetsSucceeded {
+		t.Errorf("%s: inclusion divergence: %d/%d buys %d/%d sets vs %d/%d buys %d/%d sets",
+			name, a.BuysIncluded, a.BuysSucceeded, a.SetsIncluded, a.SetsSucceeded,
+			b.BuysIncluded, b.BuysSucceeded, b.SetsIncluded, b.SetsSucceeded)
+	}
+	if a.Blocks != b.Blocks || a.MsgsSent != b.MsgsSent {
+		t.Errorf("%s: chain/network divergence: %d blocks %d msgs vs %d blocks %d msgs",
+			name, a.Blocks, a.MsgsSent, b.Blocks, b.MsgsSent)
+	}
+}
+
 // TestPersistGoldenScenarios runs EVERY golden η scenario twice at the
 // benchmark seed — in-memory and store-backed — and demands identical
 // results. Persistence is write-through by construction; this is the

@@ -22,11 +22,6 @@ type Shape struct {
 	// LazyClients switches the client peers to lazy validation
 	// (serethsim -lazy-clients): required for 1000-peer sweeps.
 	LazyClients bool
-	// ParallelExec routes block execution through the optimistic
-	// parallel processor (serethsim -parallel). η is bit-identical
-	// either way; the flag exists to exercise the parallel path across
-	// every sweep.
-	ParallelExec bool
 	// RPCClients publishes client peers behind real HTTP JSON-RPC
 	// endpoints (serethsim -rpc-clients). η is bit-identical either
 	// way; the flag exists to exercise the serving tier across sweeps.
@@ -56,9 +51,6 @@ func (sh Shape) Apply(cfg ScenarioConfig) ScenarioConfig {
 	}
 	if sh.LazyClients {
 		cfg.LazyClients = true
-	}
-	if sh.ParallelExec {
-		cfg.ParallelExec = true
 	}
 	if sh.RPCClients {
 		cfg.RPCClients = true

@@ -107,14 +107,6 @@ type ScenarioConfig struct {
 	// bit-identical to the pre-fault harness.
 	Faults FaultPlan
 
-	// ParallelExec routes every node's block execution through the
-	// optimistic parallel processor (chain.ParallelProcessor) with a
-	// deterministic 4-worker pool and threshold 1, so even small sim
-	// bodies exercise the speculate/validate/merge path. Execution is
-	// bit-identical to the sequential processor by construction (and by
-	// the differential suite), so every measured η is unaffected.
-	ParallelExec bool
-
 	// RPCClients publishes every client peer behind a real HTTP JSON-RPC
 	// endpoint (rpc.Server on an httptest listener): view reads travel
 	// as sereth_view / eth_getStorageAt calls and submissions as
@@ -525,15 +517,6 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 		GasLimit:  cfg.BlockGasLimit,
 		Registry:  reg,
 		ExecCache: chain.NewExecCache(0),
-	}
-	if cfg.ParallelExec {
-		chainCfg.Parallel = true
-		// Fixed worker count (not GOMAXPROCS) and threshold 1: sim runs
-		// must exercise the parallel path deterministically regardless of
-		// the host's core count — on a single-core runner GOMAXPROCS
-		// would silently fall back to the sequential path.
-		chainCfg.ParallelWorkers = 4
-		chainCfg.ParallelThreshold = 1
 	}
 
 	topo, err := p2p.ParseTopology(cfg.Topology, cfg.Degree, cfg.Seed+2)

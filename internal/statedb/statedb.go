@@ -322,14 +322,11 @@ func (s *StateDB) SetState(addr types.Address, key, value types.Word) {
 // Snapshot returns an identifier for the current journal position.
 func (s *StateDB) Snapshot() int { return len(s.journal) }
 
-// JournalEntriesPerTx is the shared journal-sizing heuristic for one
+// journalEntriesPerTx is the journal-sizing heuristic for one
 // transaction of the buy/set workload: a nonce bump (1), a value
 // transfer's debit and credit (2), up to one account creation (1), and
-// a contract call's storage writes (~2 for a successful set). Both the
-// sequential body reservation (BodyJournalCapacity) and the parallel
-// processor's per-transaction reservations derive from this constant,
-// so the two execution paths cannot drift apart on sizing.
-const JournalEntriesPerTx = 6
+// a contract call's storage writes (~2 for a successful set).
+const journalEntriesPerTx = 6
 
 // bodyJournalSlack absorbs per-block overhead beyond the per-tx
 // heuristic (e.g. coinbase-style bookkeeping added later) so a body
@@ -338,7 +335,7 @@ const bodyJournalSlack = 8
 
 // BodyJournalCapacity returns the journal reservation for an
 // n-transaction block body.
-func BodyJournalCapacity(n int) int { return JournalEntriesPerTx*n + bodyJournalSlack }
+func BodyJournalCapacity(n int) int { return journalEntriesPerTx*n + bodyJournalSlack }
 
 // ReserveJournal pre-sizes the undo log for at least n more entries.
 // Block processors call it once per body so the flat journal grows in

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -313,48 +314,34 @@ func TestSingleBitCorrection(t *testing.T) {
 	}
 }
 
-// TestLegacySKV1Migration checks that a pre-CRC log opens, serves its
-// records, and is rewritten as SKV2.
-func TestLegacySKV1Migration(t *testing.T) {
+// TestSKV1FileRejected checks that a pre-CRC SKV1 log is refused as a
+// foreign file and left byte-for-byte untouched.
+func TestSKV1FileRejected(t *testing.T) {
 	dir := t.TempDir()
 	// Hand-craft an SKV1 file: magic + CRC-less records.
-	raw := append([]byte{}, logMagicV1...)
-	rec := func(key, val string) {
-		raw = append(raw, byte(len(key)))
-		raw = append(raw, key...)
-		raw = append(raw, byte(len(val)))
-		raw = append(raw, val...)
+	raw := []byte("SKV1\n")
+	for _, kv := range [][2]string{{"head", "one"}, {"node", "enc"}} {
+		raw = append(raw, byte(len(kv[0])))
+		raw = append(raw, kv[0]...)
+		raw = append(raw, byte(len(kv[1])))
+		raw = append(raw, kv[1]...)
 	}
-	rec("head", "one")
-	rec("node", "enc")
-	rec("head", "two")
-	if err := os.WriteFile(filepath.Join(dir, FileName), raw, 0o644); err != nil {
+	path := filepath.Join(dir, FileName)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenFile(dir)
+	if s, err := OpenFile(dir); !errors.Is(err, ErrNotStoreFile) {
+		if s != nil {
+			_ = s.Close()
+		}
+		t.Fatalf("OpenFile(SKV1) = %v, want ErrNotStoreFile", err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = s.Close() }()
-	rep := s.Salvage()
-	if !rep.LegacyFormat || !rep.Compacted {
-		t.Fatalf("migration not reported: %+v", rep)
-	}
-	if rep.Dirty() {
-		t.Fatalf("clean legacy file reported dirty: %+v", rep)
-	}
-	if v, _ := s.Get([]byte("head")); string(v) != "two" {
-		t.Fatalf("legacy replay lost overwrite: %q", v)
-	}
-	if v, _ := s.Get([]byte("node")); string(v) != "enc" {
-		t.Fatalf("legacy replay lost node: %q", v)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, FileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, logMagic) {
-		t.Fatalf("file not migrated to SKV2: %q", data[:5])
+	if !bytes.Equal(data, raw) {
+		t.Fatalf("rejected SKV1 file was modified: %q", data)
 	}
 }
 

@@ -360,8 +360,9 @@ type Receipt struct {
 }
 
 // Hash returns Keccak over the receipt's RLP encoding, memoized. Safe
-// for concurrent use only once the memo is warm (the parallel processor
-// prefills it before sharing receipts); a cold first call must not race.
+// for concurrent use only once the memo is warm (the block processor
+// warms it by deriving the receipt root before receipts are shared); a
+// cold first call must not race.
 func (r *Receipt) Hash() Hash {
 	if !r.hashed {
 		// The encoding is at most 2 (header) + 33 + 2 + 9 + 33 + 9 + 9
