@@ -16,13 +16,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench runs the full suite (η scenarios + view-latency microbenchmarks)
-# and writes BENCH_<date>.json for the cross-PR perf trajectory.
+# bench runs every go test benchmark: the η scenario tables and one
+# benchmark per layer, each next to its code. End-to-end throughput is
+# measured by perfbench (bash perfbench/run.sh; see BENCHMARK.json).
 bench:
-	$(GO) run ./cmd/serethbench
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# bench-eta reproduces the paper's Figure-2/ablation numbers via go test
-# (the shared η table in internal/scenarios).
+# bench-eta reproduces the paper's Figure-2/ablation and 50-peer scale
+# numbers via go test (the shared η tables in internal/scenarios).
 bench-eta:
 	$(GO) test -run '^$$' -bench 'BenchmarkEta|BenchmarkSequential' -benchtime 1x .
 
@@ -62,13 +63,15 @@ elision-smoke:
 	$(GO) test -race -run 'TestReplayKeccakCountDrop' ./internal/scenarios
 
 # fuzz-smoke fuzzes the RLP item decoder and the block decoder built on
-# it (gossip, sync and the on-disk log all go through both) and then the
-# transaction decoder (the eth_sendRawTransaction path) for 10 s each,
+# it (gossip, sync and the on-disk log all go through both), the
+# transaction decoder (the eth_sendRawTransaction path) and the SSNAP1
+# snapshot reader (the serethnode -bootstrap path) for 10 s each,
 # starting from their committed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/rlp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTransaction$$' -fuzztime 10s ./internal/types
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSnapshot$$' -fuzztime 10s ./internal/chain
 
 # serving-smoke runs the persistence and serving-tier suite under the
 # race detector: the store, trie/state persistence and snapshot

@@ -1,29 +1,34 @@
 package sereth
 
-// Benchmark harness: one benchmark per experiment in DESIGN.md §3. The
-// η scenario table and the 1000-tx view fixture live in
-// internal/scenarios, shared with cmd/serethbench so BENCH_<date>.json
-// is directly comparable with `go test -bench` output. Each η benchmark
-// runs the full simulated-network scenario per iteration and reports
-// the measured transaction efficiency (η, the Figure-2 y-axis) as a
-// custom metric alongside the usual ns/op. Absolute wall times are
-// simulator costs, not blockchain latencies; the η metrics are the
-// reproduction targets.
+// Root benchmark suite. The η rows run whole simulated-network
+// scenarios from the shared tables in internal/scenarios and report the
+// measured transaction efficiency (η, the Figure-2 y-axis) as a custom
+// metric; at -benchtime 1x they run seed 101 and must reproduce the
+// committed η values bit for bit. The remaining rows time one layer
+// each: HMS views, gossip delivery, state commitment, block import,
+// pool admission, interpreter dispatch and the state journal. Absolute
+// wall times are simulator costs, not blockchain latencies. End-to-end
+// throughput, with repeated samples and per-layer shares, is measured
+// by perfbench (see BENCHMARK.json).
 
 import (
 	"testing"
 
 	"sereth/internal/chain"
+	"sereth/internal/evm"
 	"sereth/internal/p2p"
 	"sereth/internal/scenarios"
 	"sereth/internal/sim"
+	"sereth/internal/txpool"
+	"sereth/internal/wallet"
 )
 
-// BenchmarkEta runs every scenario of the shared η table: the nine
-// Figure-2 cells, the sequential-history check and the four ablations.
-// Sub-benchmark names match the record names in BENCH_<date>.json.
+// BenchmarkEta runs every scenario of the shared η tables: the nine
+// Figure-2 cells, the sequential-history check, the four ablations and
+// the four 50-peer scale rows. Sub-benchmark names match the record
+// names of the historical BENCH_<date>.json files.
 func BenchmarkEta(b *testing.B) {
-	for _, e := range scenarios.EtaTable() {
+	for _, e := range append(scenarios.EtaTable(), scenarios.ScaleTable()...) {
 		e := e
 		b.Run(e.Name, func(b *testing.B) {
 			var etaSum float64
@@ -181,47 +186,117 @@ func BenchmarkStateRoot(b *testing.B) {
 // C2: block-validation cost for a fresh peer importing a sealed 100-tx
 // block. The full row replays the body (§II-D); the cached row shares
 // the validated execution and verifies by root comparison — the per-peer
-// import cost of an N-peer process after the first replay.
+// import cost of an N-peer process after the first replay. The
+// elision-off row replays with the SHA3 elision layer disabled and a
+// cold signature registry per insert: the pre-elision cost of every
+// digest path, the same-run reference for the full row.
 func BenchmarkBlockReplay(b *testing.B) {
 	fixture := scenarios.NewReplayFixture(100)
-	run := func(b *testing.B, cache *chain.ExecCache) {
+	run := func(b *testing.B, newChain func() *chain.Chain) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			c := fixture.NewChain(cache)
+			c := newChain()
 			b.StartTimer()
 			if _, err := c.InsertBlock(fixture.Block); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("full-replay-100tx", func(b *testing.B) { run(b, nil) })
+	b.Run("full-replay-100tx", func(b *testing.B) {
+		run(b, func() *chain.Chain { return fixture.NewChain(nil) })
+	})
 	b.Run("cached-100tx", func(b *testing.B) {
 		cache := chain.NewExecCache(0)
 		if _, err := fixture.NewChain(cache).InsertBlock(fixture.Block); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		run(b, cache)
+		run(b, func() *chain.Chain { return fixture.NewChain(cache) })
 	})
+	// Last: a cold registry re-tags the shared instances' verified
+	// flags, which the rows above must not observe.
+	b.Run("full-replay-100tx-elision-off", func(b *testing.B) {
+		evm.SetElisionDisabled(true)
+		defer evm.SetElisionDisabled(false)
+		run(b, func() *chain.Chain {
+			reg := wallet.NewRegistry()
+			reg.Register(fixture.Owner)
+			return fixture.NewChainWithRegistry(reg)
+		})
+	})
+}
+
+// admissionTxs builds n distinct HMS set transactions so every admission
+// pays the full derived-data memoization (identity hash + fused mark:
+// two sponge finalizations per tx).
+func admissionTxs(n int) []*Transaction {
+	sel := SelectorFor("set(bytes32[3])")
+	txs := make([]*Transaction, n)
+	for i := range txs {
+		txs[i] = &Transaction{
+			Nonce:    uint64(i),
+			To:       scenarios.BenchContract,
+			GasPrice: 10,
+			GasLimit: 300_000,
+			Data:     EncodeCall(sel, FlagChain, WordFromUint64(uint64(i)), WordFromUint64(uint64(i+1))),
+			From:     Address{19: 0x01},
+		}
+	}
+	return txs
 }
 
 // A1: per-transaction pool admission — copy, identity hash, duplicate
 // check, memoization (hash + fused mark) and change-feed notification.
 // This is the per-peer cost every gossiped transaction pays; keccak
 // dominates it, so it tracks the hash-layer overhaul (acceptance bar:
-// >= 2x over the pre-overhaul loop-form keccak). Body shared with the
-// serethbench txpool/admit row via internal/scenarios.
-func BenchmarkTxAdmission(b *testing.B) { scenarios.BenchTxAdmission(b) }
+// >= 2x over the pre-overhaul loop-form keccak).
+func BenchmarkTxAdmission(b *testing.B) {
+	const cycle = 4096
+	txs := admissionTxs(cycle)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pool *txpool.Pool
+	for i := 0; i < b.N; i++ {
+		if i%cycle == 0 {
+			b.StopTimer()
+			pool = txpool.New()
+			b.StartTimer()
+		}
+		if _, err := pool.Admit(txs[i%cycle]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // A2: batched admission of a 100-tx gossip envelope — one lock
 // acquisition and one subscriber flush for the whole batch (the
 // HandleTxs delivery path). ns/op is per 100-tx batch.
-func BenchmarkAdmitBatch100(b *testing.B) { scenarios.BenchAdmitBatch100(b) }
+func BenchmarkAdmitBatch100(b *testing.B) {
+	const batch = 100
+	txs := admissionTxs(batch * 41)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pool *txpool.Pool
+	for i := 0; i < b.N; i++ {
+		start := (i * batch) % len(txs)
+		if start == 0 {
+			b.StopTimer()
+			pool = txpool.New()
+			b.StartTimer()
+		}
+		admitted, errs := pool.AdmitBatch(txs[start : start+batch])
+		for j, tx := range admitted {
+			if tx == nil {
+				b.Fatal(errs[j])
+			}
+		}
+	}
+}
 
 // S1: a full figure2 cell at population scale — 48 miners + 2 clients
-// on a mesh. Run with -benchtime 1x; the η metric must match the
-// serethbench scale records.
+// on a mesh, the scale/figure2-sereth/peers-50-mesh row of BenchmarkEta
+// on its own (the profiling target of the 50-peer cell).
 func BenchmarkScaleFigure2Peers50(b *testing.B) {
 	table := scenarios.ScaleTable()
 	e := table[0] // peers-50-mesh
@@ -236,16 +311,68 @@ func BenchmarkScaleFigure2Peers50(b *testing.B) {
 	b.ReportMetric(etaSum/float64(b.N), "eta")
 }
 
-// E1b: interpreter dispatch — one Call executing a 100-instruction
-// loop through the jump table over pooled frames (pushes, stack
-// shuffles, arithmetic, a conditional jump). Tracks dispatch overhead
-// of the execution pipeline; body shared with the serethbench
-// evm/interp-100op row via internal/scenarios.
-func BenchmarkInterp100Op(b *testing.B) { scenarios.BenchInterp100Op(b) }
+// interpProgram returns a bytecode loop that executes exactly 100
+// instructions before halting (one counter push, fourteen 7-op loop
+// bodies, one STOP). The body mixes pushes, stack shuffles, arithmetic
+// and a conditional jump, so the benchmark tracks dispatch overhead
+// rather than any single handler.
+func interpProgram() []byte {
+	return []byte{
+		0x60, 14, // PUSH1 14        counter
+		0x5b,    // JUMPDEST  (pc=2)
+		0x60, 1, // PUSH1 1
+		0x90,    // SWAP1
+		0x03,    // SUB            counter-1
+		0x80,    // DUP1
+		0x60, 2, // PUSH1 2
+		0x57, // JUMPI          loop while counter != 0
+		0x00, // STOP
+	}
+}
+
+// E1b: interpreter dispatch — one Call executing the 100-instruction
+// interpProgram through the jump table over pooled frames. ns/op is per
+// program run, ~10 ns/op per executed instruction at parity.
+func BenchmarkInterp100Op(b *testing.B) {
+	st := NewStateDB()
+	st.SetCode(scenarios.BenchContract, interpProgram())
+	machine := evm.New(st, evm.BlockContext{Number: 1, Time: 15})
+	ctx := evm.CallContext{
+		Caller:   Address{19: 0x01},
+		Contract: scenarios.BenchContract,
+		Gas:      100_000,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := machine.Call(ctx); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+}
 
 // E2b: typed flat journal — snapshot, eight mutations across the entry
-// kinds, revert: the per-transaction journaling rhythm of
-// ApplyTransaction. The closure journal allocated per mutation; the
-// flat journal appends value structs into a reused slice. Body shared
-// with the serethbench statedb/journal-churn row.
-func BenchmarkJournalChurn(b *testing.B) { scenarios.BenchJournalChurn(b) }
+// kinds, revert: the per-transaction journaling rhythm of the block
+// processor. The closure journal allocated per mutation; the flat
+// journal appends value structs into a reused slice. ns/op is per churn
+// cycle.
+func BenchmarkJournalChurn(b *testing.B) {
+	st, addrs := scenarios.StateFixture(16)
+	st.Root()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := uint64(i)
+		a := addrs[i%len(addrs)]
+		snap := st.Snapshot()
+		st.SetNonce(a, n)
+		st.AddBalance(a, 7)
+		if !st.SubBalance(a, 3) {
+			b.Fatal("underfunded fixture account")
+		}
+		for k := 0; k < 5; k++ {
+			st.SetState(scenarios.BenchContract, WordFromUint64(uint64(k)), WordFromUint64(n+uint64(k)))
+		}
+		st.RevertToSnapshot(snap)
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 
-	"sereth/internal/evm"
 	"sereth/internal/statedb"
 	"sereth/internal/store"
 	"sereth/internal/types"
@@ -201,21 +200,6 @@ func (c *Chain) ReadHeadState(fn func(head *types.Block, st *statedb.StateDB)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	fn(c.blocks[len(c.blocks)-1], c.state)
-}
-
-// ApplyTransaction executes one transaction against st through the
-// chain's processor. It returns the receipt; the error return is
-// reserved for transactions that may not appear in a block at all (bad
-// signature / nonce). Logical failures (reverts, EVM faults,
-// contract-reported no-ops) produce a Failed receipt with every state
-// effect rolled back.
-func (c *Chain) ApplyTransaction(st *statedb.StateDB, header *types.Header, tx *types.Transaction, txIndex int) (*types.Receipt, error) {
-	receipt := new(types.Receipt)
-	machine := evm.New(st, evm.BlockContext{Number: header.Number, Time: header.Time})
-	if err := c.proc.applyTransaction(machine, st, header, tx, txIndex, receipt); err != nil {
-		return nil, err
-	}
-	return receipt, nil
 }
 
 // Process replays a block body against a parent state copy through the

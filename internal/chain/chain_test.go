@@ -32,7 +32,7 @@ func setTxFor(key *wallet.Key, nonce uint64, prev types.Word, value uint64, flag
 }
 
 // buildBlock assembles a valid next block for the chain from raw txs.
-func buildBlock(t *testing.T, c *Chain, txs []*types.Transaction) *types.Block {
+func buildBlock(t testing.TB, c *Chain, txs []*types.Transaction) *types.Block {
 	t.Helper()
 	head := c.Head()
 	header := &types.Header{

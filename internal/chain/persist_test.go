@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"sereth/internal/statedb"
@@ -14,7 +15,7 @@ import (
 
 // persistRig builds a store-backed chain with a few blocks of real
 // contract traffic on it.
-func persistRig(t *testing.T, kv store.Store, blocks int) (*Chain, *wallet.Key) {
+func persistRig(t testing.TB, kv store.Store, blocks int) (*Chain, *wallet.Key) {
 	t.Helper()
 	reg := wallet.NewRegistry()
 	owner := wallet.NewKey("persist-owner")
@@ -288,6 +289,62 @@ func TestOpenSnapshotCorruptNoPartialAdoption(t *testing.T) {
 	}
 }
 
+// TestOpenSnapshotOversizedLengthAllocatesLittle feeds streams whose
+// length prefix claims the 64 MiB cap but carries no body: once for the
+// head block (the 11-byte magic-plus-length stream) and once for a state
+// record behind a valid head block. Both must fail without allocating
+// the claimed length before a byte of it has arrived.
+func TestOpenSnapshotOversizedLengthAllocatesLittle(t *testing.T) {
+	origin, _ := persistRig(t, store.NewMem(), 1)
+	var buf bytes.Buffer
+	if err := origin.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	blockLen, n := binary.Uvarint(raw[len(snapMagic):])
+	head := raw[:len(snapMagic)+n+int(blockLen)]
+	claim := binary.AppendUvarint(nil, 1<<26)
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"block", append(append([]byte{}, snapMagic...), claim...)},
+		{"state-record", append(append([]byte{}, head...), claim...)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OpenSnapshot(DefaultConfig(), bytes.NewReader(tc.stream))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: bodiless %d-byte stream accepted", tc.name, len(tc.stream))
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: %d-byte stream allocated %d bytes before failing (%v)",
+				tc.name, len(tc.stream), alloc, err)
+		}
+	}
+}
+
+// FuzzOpenSnapshot feeds arbitrary streams to the snapshot reader, the
+// path a `serethnode -snapshot` file takes into the process. It must
+// never panic, and a stream it accepts must yield a chain whose head
+// state re-derives to the head header's StateRoot. The committed corpus
+// holds a real snapshot, the same snapshot cut mid-record, the bare
+// magic and a stream whose length prefix claims the 64 MiB cap.
+func FuzzOpenSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := OpenSnapshot(DefaultConfig(), bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var root types.Hash
+		c.ReadState(func(st *statedb.StateDB) { root = st.Root() })
+		if want := c.Head().Header.StateRoot; root != want {
+			t.Fatalf("accepted snapshot state %s under header root %s", root.Hex(), want.Hex())
+		}
+	})
+}
+
 func TestOpenSnapshotPersistsWhenStoreSet(t *testing.T) {
 	origin, _ := persistRig(t, store.NewMem(), 2)
 	var buf bytes.Buffer
@@ -327,6 +384,58 @@ func TestRecoveredChainCannotServeSnapshots(t *testing.T) {
 	}
 	if err := re.WriteSnapshot(&bytes.Buffer{}); !errors.Is(err, statedb.ErrPartialState) {
 		t.Fatalf("partial-state snapshot: %v", err)
+	}
+}
+
+// snapshotBlocks sizes the snapshot and recovery benchmarks: a chain
+// deep enough that recovery decodes real history.
+const snapshotBlocks = 12
+
+// BenchmarkOpenSnapshot measures a snapshot bootstrap: decode the head
+// block and every account of the state, then verify the recomputed root
+// against the header.
+func BenchmarkOpenSnapshot(b *testing.B) {
+	origin, _ := persistRig(b, store.NewMem(), snapshotBlocks)
+	var buf bytes.Buffer
+	if err := origin.WriteSnapshot(&buf); err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Registry = origin.Config().Registry
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := OpenSnapshot(cfg, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c.Height() != snapshotBlocks {
+			b.Fatalf("bootstrapped height %d", c.Height())
+		}
+	}
+}
+
+// BenchmarkOpenRecover measures restart recovery from a file store: every
+// block decodes from the log and head state reopens lazily from its
+// root, with no transaction replayed.
+func BenchmarkOpenRecover(b *testing.B) {
+	kv, err := store.OpenFile(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = kv.Close() }()
+	origin, _ := persistRig(b, kv, snapshotBlocks)
+	cfg := origin.Config()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := Open(cfg, kv)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c.Height() != snapshotBlocks {
+			b.Fatalf("recovered height %d", c.Height())
+		}
 	}
 }
 

@@ -79,11 +79,20 @@ func OpenSnapshot(cfg Config, r io.Reader) (*Chain, error) {
 		return nil, ErrNotSnapshot
 	}
 	blockLen, err := binary.ReadUvarint(br)
-	if err != nil || blockLen == 0 || blockLen > 1<<26 {
-		return nil, fmt.Errorf("chain: snapshot block length: %v", err)
+	if err != nil {
+		return nil, fmt.Errorf("chain: snapshot block length: %w", err)
 	}
-	blockEnc := make([]byte, blockLen)
-	if _, err := io.ReadFull(br, blockEnc); err != nil {
+	if blockLen == 0 || blockLen > 1<<26 {
+		return nil, fmt.Errorf("chain: snapshot block length %d out of range", blockLen)
+	}
+	// Read the body as it arrives instead of allocating the declared
+	// length up front: a hostile length prefix then costs only the bytes
+	// the stream actually carries.
+	blockEnc, err := io.ReadAll(io.LimitReader(br, int64(blockLen)))
+	if err == nil && uint64(len(blockEnc)) != blockLen {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("chain: snapshot block body: %w", err)
 	}
 	head, err := types.DecodeBlock(blockEnc)

@@ -54,9 +54,6 @@ var elisionOff atomic.Bool
 // elision on; results are bit-identical either way.
 func SetElisionDisabled(v bool) { elisionOff.Store(v) }
 
-// ElisionDisabled reports whether the elision layer is switched off.
-func ElisionDisabled() bool { return elisionOff.Load() }
-
 // sha3Memo geometry: 8 direct-mapped slots over inputs up to 64 bytes
 // covers the contract set's working set (32-byte mark checks, 64-byte
 // mark derivations) without the lookup itself costing a hash.

@@ -3,9 +3,8 @@ package keccak
 import "sync/atomic"
 
 // invocations counts digest finalizations — one per Keccak-256 digest
-// produced, whatever the entry point (Sum256, Sum256Into, and the
-// incremental Hasher's Sum256/SumInto/Sum256Final all funnel through
-// finalize). The counter exists so the hash-elision layer can be
+// produced, whatever the entry point (Sum256, Sum256Into and the
+// incremental Hasher's Sum256 all funnel through finalize). The counter exists so the hash-elision layer can be
 // asserted by *count* rather than timing: a test records the counter
 // around a replay or an admission and pins exactly how many sponges
 // actually ran. One relaxed atomic add per digest (sub-nanosecond next

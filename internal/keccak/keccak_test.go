@@ -105,22 +105,6 @@ func TestSumIntoMatchesSum(t *testing.T) {
 	}
 }
 
-func TestSum256FinalIsDestructiveButCorrect(t *testing.T) {
-	h := New()
-	_, _ = h.Write([]byte("payload"))
-	want := h.Sum256() // non-destructive reference
-	if got := h.Sum256Final(); got != want {
-		t.Error("Sum256Final digest differs from Sum256")
-	}
-	// After the destructive finalize the hasher must be Reset to be
-	// reusable; Reset must restore a working initial state.
-	h.Reset()
-	_, _ = h.Write([]byte("payload"))
-	if got := h.Sum256(); got != want {
-		t.Error("Reset after Sum256Final did not restore the hasher")
-	}
-}
-
 func TestSumIsNonDestructive(t *testing.T) {
 	h := New()
 	_, _ = h.Write([]byte("partial"))

@@ -1,9 +1,11 @@
-// Package scenarios centralizes the benchmark fixtures shared by the
-// root bench harness (bench_test.go) and cmd/serethbench: the η
-// scenario table and the 1000-tx chained view fixture. Both consumers
-// read the same definitions, so BENCH_<date>.json stays directly
-// comparable with `go test -bench` output across PRs even when sweeps
-// or seeds change.
+// Package scenarios holds the named workloads and fixtures that several
+// packages measure or pin: the η scenario tables (the 22 golden
+// Figure-2/ablation rows and the 50-peer scale rows), the 1000-tx
+// chained view fixture, the state-commitment and block-replay fixtures,
+// and the §V-B front-running demonstration. The root benchmarks
+// (bench_test.go), this package's golden and elision tests and
+// examples/frontrunning read the same definitions, so an η or a fixture
+// cannot drift between them.
 package scenarios
 
 import (

@@ -102,8 +102,13 @@ func ReadSnapshot(r io.Reader) (*StateDB, error) {
 		if recLen > 1<<26 {
 			return nil, fmt.Errorf("statedb: snapshot record of %d bytes", recLen)
 		}
-		rec := make([]byte, recLen)
-		if _, err := io.ReadFull(br, rec); err != nil {
+		// Allocate as bytes arrive, not by the declared length: a
+		// hostile prefix costs only what the stream really carries.
+		rec, err := io.ReadAll(io.LimitReader(br, int64(recLen)))
+		if err == nil && uint64(len(rec)) != recLen {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, fmt.Errorf("statedb: snapshot record body: %w", err)
 		}
 		if err := applySnapshotRecord(s, rec); err != nil {

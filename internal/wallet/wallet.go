@@ -21,7 +21,6 @@ import (
 // Key is a signing identity.
 type Key struct {
 	priv [32]byte
-	pub  [32]byte
 	addr types.Address
 }
 
@@ -29,17 +28,14 @@ type Key struct {
 func NewKey(seed string) *Key {
 	var k Key
 	k.priv = keccak.Sum256([]byte("sereth-key:" + seed))
-	k.pub = keccak.Sum256(k.priv[:])
-	pubHash := keccak.Sum256(k.pub[:])
+	pub := keccak.Sum256(k.priv[:])
+	pubHash := keccak.Sum256(pub[:])
 	copy(k.addr[:], pubHash[12:])
 	return &k
 }
 
 // Address returns the account address bound to the key.
 func (k *Key) Address() types.Address { return k.addr }
-
-// PublicKey returns the 32-byte public key.
-func (k *Key) PublicKey() [32]byte { return k.pub }
 
 // Sign computes the signature over a digest.
 func (k *Key) Sign(digest types.Hash) types.Hash {
